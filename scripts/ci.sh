@@ -19,6 +19,12 @@ fi
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== perfbench tests (incl. a traced smoke of every workload) =="
+# The tracer wraps program functions by module attribute (perfbench/
+# tracer.py); a change that moves one of those wrap points fails here
+# rather than crashing a --trace 1 benchmark run.  About 30 s.
+python -m pytest perfbench/tests -q
+
 echo "== bench smoke (quick, --jobs 2) =="
 python -m repro bench --quick --jobs 2 --output BENCH_smoke.json
 rm -f BENCH_smoke.json

@@ -13,7 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 from urllib.parse import urlsplit
 
 from ..runtime.spec import RunSpec
@@ -90,6 +90,42 @@ def fetch_stats(url: str, timeout: float = 10.0) -> Dict[str, Any]:
     return _request_json(url, "GET", "/stats", timeout)
 
 
+#: Most bytes taken from the response per read.  A block and its copies
+#: stay small, so they reuse freed heap memory instead of growing and
+#: trimming the heap (and page-faulting it back in) on every request;
+#: only a line longer than this, such as a big ``result_pickle``, is
+#: joined into one large buffer.
+READ_BYTES = 16 * 1024
+
+
+def _records(response: http.client.HTTPResponse) -> Iterator[Dict[str, Any]]:
+    """The NDJSON records of a streamed response, in order.
+
+    Each ``read1`` returns what the gateway has flushed so far, up to
+    :data:`READ_BYTES` (chunks carry whole lines, but a read may end
+    anywhere).  The complete lines of a block are parsed with one
+    ``json.loads`` as a JSON array (JSON text never holds a raw newline);
+    a partial last line waits for the next read.  The records end where
+    the response ends or is cut off; a last line without its newline is
+    incomplete and dropped.
+    """
+    partial: List[bytes] = []  # the start of a line, which holds no newline
+    while True:
+        try:
+            block = response.read1(READ_BYTES)
+        except http.client.IncompleteRead:
+            return
+        if not block:
+            return
+        cut = block.rfind(b"\n")
+        if cut < 0:
+            partial.append(block)
+            continue
+        text = b"".join([b"[", *partial, block[:cut].replace(b"\n", b","), b"]"])
+        partial = [block[cut + 1:]]
+        yield from json.loads(text)
+
+
 def submit_specs(
     url: str, specs: Sequence[RunSpec], timeout: float = 600.0
 ) -> List[RunOutcome]:
@@ -120,13 +156,7 @@ def submit_specs(
             )
         outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
         done = False
-        # http.client decodes the chunked transfer; iterating the
-        # response yields NDJSON lines as the gateway flushes them.
-        for raw in response:
-            line = raw.strip()
-            if not line:
-                continue
-            data = json.loads(line)
+        for data in _records(response):
             kind = data.get("type")
             if kind == "run":
                 index = data["index"]

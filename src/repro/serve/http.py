@@ -15,6 +15,10 @@ connection):
   pickle-encoded result — interleaved with the run's recorded
   :mod:`repro.obs` events for ``record=True`` specs, closed by a
   ``done`` line.  See ``docs/serve.md`` for the exact line schemas.
+
+The stream goes out in HTTP chunks of whole lines (see
+:data:`FRAME_BYTES`): one chunk, one write and one drain per run, or per
+64 KiB of a long recorded run.
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ from .protocol import done_line, event_lines, run_line
 
 #: Largest accepted request body (a million-spec batch is a misuse).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Buffered response lines are flushed as one HTTP chunk once they pass
+#: this many bytes, and again at the end of each run.  A line is never
+#: split, so a chunk holds whole lines: one run's, or about this much of
+#: a long recorded run's, which bounds what the gateway holds per stream.
+FRAME_BYTES = 64 * 1024
 
 _STATUS_TEXT = {
     200: "OK",
@@ -65,7 +75,10 @@ async def _read_request(
         name, sep, value = raw.decode("latin-1").partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length", "0") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadRequest(f"bad Content-Length {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""
@@ -84,10 +97,14 @@ def _response_bytes(
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
+def _ndjson(payload: Any) -> str:
+    return json.dumps(payload) + "\n"
+
+
 def _json_response(
     status: int, payload: Any, extra: Optional[Dict[str, str]] = None
 ) -> bytes:
-    body = (json.dumps(payload) + "\n").encode()
+    body = _ndjson(payload).encode()
     return _response_bytes(status, body, "application/json", extra)
 
 
@@ -202,20 +219,21 @@ class HttpServer:
         """The NDJSON chunked response: status lines as runs complete."""
         cached = [entry for entry in entries if entry.status == "cached"]
         queued = [entry for entry in entries if entry.status == "queued"]
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
+        frames = _Frames(
+            writer,
+            head=b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n\r\n"
+            b"Connection: close\r\n\r\n",
         )
-        await self._chunk(
-            writer,
+        frames.add(_ndjson(
             {"type": "accepted", "runs": len(entries), "cached": len(cached),
-             "queued": len(queued)},
-        )
+             "queued": len(queued)}
+        ))
         failures = 0
         for entry in cached:  # warm answers flow immediately
-            await self._emit_run(writer, entry, entry.result, None)
+            await self._emit_run(frames, entry, entry.result, None)
+        await frames.flush()  # the accepted line, if no warm run carried it
         by_future: Dict["asyncio.Future[Any]", List[RunEntry]] = {}
         for entry in queued:
             assert entry.future is not None
@@ -231,28 +249,60 @@ class HttpServer:
                 for entry in by_future[future]:
                     if error is not None:
                         failures += 1
-                    await self._emit_run(writer, entry, value, error)
-        await self._chunk(
-            writer, done_line(runs=len(entries), failed=failures)
-        )
-        writer.write(b"0\r\n\r\n")
+                    await self._emit_run(frames, entry, value, error)
+        frames.add(_ndjson(done_line(runs=len(entries), failed=failures)))
+        frames.finish()
 
     async def _emit_run(
         self,
-        writer: asyncio.StreamWriter,
+        frames: "_Frames",
         entry: RunEntry,
         value: Any,
         error: Optional[BaseException],
     ) -> None:
+        """Buffer one run's lines, flushing past each frame and at its end."""
         if error is not None:
             message = str(error) if isinstance(error, RunError) else repr(error)
-            await self._chunk(writer, run_line(entry, error=message))
-            return
-        await self._chunk(writer, run_line(entry, result=value))
-        for line in event_lines(entry, value):
-            await self._chunk(writer, line)
+            frames.add(_ndjson(run_line(entry, error=message)))
+        else:
+            if frames.add(_ndjson(run_line(entry, result=value))):
+                await frames.flush()
+            for line in event_lines(entry, value):
+                if frames.add(line):
+                    await frames.flush()
+        await frames.flush()
 
-    async def _chunk(self, writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
-        data = (json.dumps(payload) + "\n").encode()
-        writer.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
-        await writer.drain()
+
+class _Frames:
+    """Whole NDJSON lines buffered into HTTP chunks (see :data:`FRAME_BYTES`)."""
+
+    def __init__(self, writer: asyncio.StreamWriter, head: bytes) -> None:
+        self._writer = writer
+        # The response head goes out in the first chunk's write, so the
+        # client is not woken for the head alone.
+        self._head = head
+        self._lines: List[str] = []
+        self._size = 0
+
+    def add(self, line: str) -> bool:
+        """Buffer one line; ``True`` once the buffer should be flushed."""
+        self._lines.append(line)
+        self._size += len(line)  # json.dumps output is ASCII: chars are bytes
+        return self._size >= FRAME_BYTES
+
+    def _chunk(self) -> bytes:
+        data = "".join(self._lines).encode()
+        self._lines.clear()
+        self._size = 0
+        head, self._head = self._head, b""
+        return b"%s%X\r\n%s\r\n" % (head, len(data), data)
+
+    async def flush(self) -> None:
+        """Send the buffered lines as one chunk, with one drain."""
+        if self._lines:
+            self._writer.write(self._chunk())
+            await self._writer.drain()
+
+    def finish(self) -> None:
+        """Write the last lines and the terminating zero-length chunk."""
+        self._writer.write(self._chunk() + b"0\r\n\r\n")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import http.client
 import json
 import pickle
+import socket
 from urllib.parse import urlsplit
 
 import pytest
@@ -193,6 +194,17 @@ class TestHttpSurface:
     def test_specs_must_be_a_list(self, server):
         status, _, _ = _raw_post(server.url, json.dumps({"specs": "nope"}).encode())
         assert status == 400
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1_0", b"+3"])
+    def test_bad_content_length_is_400(self, server, length):
+        parts = urlsplit(server.url)
+        with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+            sock.sendall(b"POST /runs HTTP/1.1\r\nContent-Length: %s\r\n\r\n{}" % length)
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length" in response.split(b"\r\n\r\n", 1)[1]
 
     def test_unknown_path_and_method(self, server):
         parts = urlsplit(server.url)
